@@ -39,7 +39,7 @@ class RunTelemetry:
     Attributes:
         counters / gauges: flat name -> value instrument snapshots.
         phase_seconds: wall time per named phase (topology, workload,
-            simulate, attack baseline/attacked, evolution phases, ...).
+            trace, simulate, attack baseline/attacked, evolution phases, ...).
         histograms: name -> ``{"bounds", "counts", "count", "sum"}``.
         top_conflicting_edges: ``(src, dst, conflicts)`` triples, worst
             first — which directed edges invalidated the batched

@@ -375,12 +375,17 @@ class ScenarioRunner:
         obs = self._obs
         with obs.phase("workload"):
             workload = build_workload(scenario, graph)
+        # The workload generates lazily; draining it in its own phase keeps
+        # trace generation out of the replay's time.
         if sim.backend == "batched":
             engine = build_batched_engine(scenario, graph, obs=obs)
+            with obs.phase("trace"):
+                trace = list(workload.generate(sim.horizon))
             with obs.phase("simulate"):
-                return engine.run_trace(list(workload.generate(sim.horizon)))
+                return engine.run_trace(trace)
         engine = build_engine(scenario, graph, obs=obs)
-        engine.schedule_workload(workload, horizon=sim.horizon)
+        with obs.phase("trace"):
+            engine.schedule_workload(workload, horizon=sim.horizon)
         with obs.phase("simulate"):
             return engine.run()
 

@@ -5,7 +5,12 @@ from .distributions import (
     TransactionDistribution,
     UniformDistribution,
 )
-from .ranking import degree_ranking, rank_factors, rank_factors_from_degrees
+from .ranking import (
+    DegreeRanker,
+    degree_ranking,
+    rank_factors,
+    rank_factors_from_degrees,
+)
 from .rates import (
     edge_probabilities,
     edge_rates,
@@ -27,6 +32,7 @@ from .workload import (
 from .zipf import ModifiedZipf
 
 __all__ = [
+    "DegreeRanker",
     "EmpiricalDistribution",
     "FixedSize",
     "ModifiedZipf",

@@ -17,7 +17,11 @@ import numpy as np
 
 from ..errors import InvalidParameter, ScenarioError
 from ..scenarios.registry import register_workload
-from .distributions import TransactionDistribution, UniformDistribution
+from .distributions import (
+    TransactionDistribution,
+    UniformDistribution,
+    sampling_cdf,
+)
 from .sizes import (
     FixedSize,
     TransactionSizeDistribution,
@@ -180,7 +184,7 @@ class PoissonWorkload:
             (sender_rates[node] for node in self._senders), dtype=float
         )
         self.total_rate = float(rates.sum())
-        self._sender_probs = rates / self.total_rate
+        self._sender_cdf = sampling_cdf(rates, "sender rates")
         self.sizes = sizes if sizes is not None else FixedSize(1.0)
         self._rng = np.random.default_rng(seed)
 
@@ -221,8 +225,10 @@ class PoissonWorkload:
         return out
 
     def _draw(self, time: float) -> Transaction:
-        index = self._rng.choice(len(self._senders), p=self._sender_probs)
-        sender = self._senders[index]
+        # The draw ``rng.choice(p=rates / total_rate)`` makes (see sampling_cdf).
+        sender = self._senders[
+            self._sender_cdf.searchsorted(self._rng.random(), side="right")
+        ]
         receiver = self.distribution.sample_receiver(sender, self._rng)
         amount = float(self.sizes.sample(self._rng, 1)[0])
         return Transaction(time=time, sender=sender, receiver=receiver, amount=amount)

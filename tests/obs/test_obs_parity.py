@@ -112,6 +112,15 @@ class TestSimulationParity:
         assert "simulate" in telemetry.phase_seconds
         assert telemetry_of(on) is telemetry
 
+    @pytest.mark.parametrize("backend", ["event", "batched"])
+    def test_trace_generation_has_its_own_phase(self, backend):
+        result = ScenarioRunner(obs=ObsSession(enabled=True)).run(
+            simulation_scenario(7, backend)
+        )
+        phases = telemetry_of(result).phase_seconds
+        assert {"workload", "trace", "simulate"} <= set(phases)
+        assert phases["trace"] > 0
+
     def test_obs_off_attaches_nothing(self):
         result = ScenarioRunner(obs=NULL_SESSION).run(
             simulation_scenario(7, "batched")

@@ -78,6 +78,56 @@ class TestCaching:
         assert after > before
 
 
+def _draws(zipf, senders, seed, count=300):
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    return [zipf.sample_receiver(senders[i % len(senders)], rng) for i in range(count)]
+
+
+class TestCdfCache:
+    @staticmethod
+    def _mutate(graph):
+        graph.add_channel("leaf1", "leaf2", 1.0, 1.0)
+        graph.add_channel("leaf1", "leaf3", 1.0, 1.0)
+        graph.add_channel("leaf1", "new", 1.0, 1.0)
+
+    def test_invalidate_matches_fresh_instance(self, star5):
+        zipf = ModifiedZipf(star5, s=1.2)
+        senders = list(star5.nodes)
+        before = _draws(zipf, senders, seed=9)
+        self._mutate(star5)
+        # Until invalidated, the cached CDFs keep answering for the old graph.
+        assert _draws(zipf, senders, seed=9) == before
+        zipf.invalidate()
+        senders = list(star5.nodes)
+        after = _draws(zipf, senders, seed=9)
+        assert after == _draws(ModifiedZipf(star5, s=1.2), senders, seed=9)
+        assert after != before
+        assert "new" in after
+
+    def test_no_cache_sees_mutations_without_invalidate(self, star5):
+        zipf = ModifiedZipf(star5, s=1.2, cache=False)
+        senders = list(star5.nodes)
+        before = _draws(zipf, senders, seed=9)
+        self._mutate(star5)
+        senders = list(star5.nodes)
+        after = _draws(zipf, senders, seed=9)
+        assert after == _draws(ModifiedZipf(star5, s=1.2), senders, seed=9)
+        assert after != before
+
+    def test_sampling_builds_no_rows(self, star5):
+        zipf = ModifiedZipf(star5, s=1.0)
+        _draws(zipf, list(star5.nodes), seed=1)
+        assert zipf._rows == {}
+
+    def test_cached_and_uncached_draw_alike(self, star5):
+        senders = list(star5.nodes)
+        assert _draws(ModifiedZipf(star5, cache=False), senders, seed=4) == _draws(
+            ModifiedZipf(star5), senders, seed=4
+        )
+
+
 class TestSampling:
     def test_sample_receiver_respects_support(self, star5):
         import numpy as np
