@@ -27,7 +27,9 @@ from .channel import Channel
 from .fees import ConstantFee, FeeFunction, FeePolicy
 from .graph import ChannelGraph
 
-__all__ = ["HtlcError", "HtlcState", "Htlc", "HtlcPayment", "HtlcRouter"]
+__all__ = [
+    "HopPricing", "HtlcError", "HtlcState", "Htlc", "HtlcPayment", "HtlcRouter",
+]
 
 _payment_ids = itertools.count()
 
@@ -92,7 +94,49 @@ class HtlcPayment:
         return sum(self.upfront_fees_per_node.values())
 
 
-class HtlcRouter:
+class HopPricing:
+    """Per-hop amounts under a fee function, memoised.
+
+    The one fee recursion both HTLC routers (this module's and the
+    batched backend's array twin) price locks with, so the two backends
+    commit bit-identical amounts.
+    """
+
+    def __init__(self, fee: Optional[FeeFunction]) -> None:
+        self.fee = fee if fee is not None else ConstantFee(0.0)
+        # The two-sided view of the fee: ``policy.upfront`` prices the
+        # per-attempt side (zero for plain FeeFunctions, so success-only
+        # fees behave exactly as before).
+        self.policy = FeePolicy.of(self.fee)
+        # (hops, amount) -> hop amounts. Attack strategies re-price the
+        # same route shape with the same amount on every attempt, so the
+        # fee recursion memoises; bounded so a continuous honest-amount
+        # distribution cannot grow it without limit.
+        self._hop_amounts_cache: Dict[Tuple[int, float], Tuple[float, ...]] = {}
+
+    def hop_amounts(self, hops: int, amount: float) -> List[float]:
+        """Per-hop amounts (sender side first) for delivering ``amount``.
+
+        Public so extensions (e.g. attack strategies sizing their capital
+        commitments) can price a route the same way ``lock`` will.
+        """
+        return list(self._hop_amounts(hops, amount))
+
+    def _hop_amounts(self, hops: int, amount: float) -> Tuple[float, ...]:
+        cached = self._hop_amounts_cache.get((hops, amount))
+        if cached is not None:
+            return cached
+        amounts = [amount]
+        for _ in range(hops - 1):
+            amounts.insert(0, amounts[0] + self.fee(amounts[0]))
+        if len(self._hop_amounts_cache) >= 4096:
+            self._hop_amounts_cache.clear()
+        result = tuple(amounts)
+        self._hop_amounts_cache[(hops, amount)] = result
+        return result
+
+
+class HtlcRouter(HopPricing):
     """Two-phase (lock / settle-or-fail) multi-hop payment execution.
 
     Unlike :class:`~repro.network.routing.Router` (which applies balance
@@ -116,20 +160,11 @@ class HtlcRouter:
     ) -> None:
         if base_expiry <= 0 or expiry_delta < 0:
             raise HtlcError("expiry parameters must be positive")
+        super().__init__(fee)
         self.graph = graph
-        self.fee = fee if fee is not None else ConstantFee(0.0)
-        # The two-sided view of the fee: ``policy.upfront`` prices the
-        # per-attempt side (zero for plain FeeFunctions, so success-only
-        # fees behave exactly as before).
-        self.policy = FeePolicy.of(self.fee)
         self.base_expiry = base_expiry
         self.expiry_delta = expiry_delta
         self._in_flight: Dict[int, HtlcPayment] = {}
-        # (hops, amount) -> hop amounts. Attack strategies re-price the
-        # same route shape with the same amount on every attempt, so the
-        # fee recursion memoises; bounded so a continuous honest-amount
-        # distribution cannot grow it without limit.
-        self._hop_amounts_cache: Dict[Tuple[int, float], Tuple[float, ...]] = {}
         # Running sum of in-flight locked amounts, maintained incrementally
         # so locked_capital() is O(1) under jamming-scale in-flight sets.
         # The batched engine's router mirrors these updates operation for
@@ -138,27 +173,6 @@ class HtlcRouter:
         self._locked_total = 0.0
 
     # -- helpers -------------------------------------------------------------
-
-    def hop_amounts(self, hops: int, amount: float) -> List[float]:
-        """Per-hop amounts (sender side first) for delivering ``amount``.
-
-        Public so extensions (e.g. attack strategies sizing their capital
-        commitments) can price a route the same way ``lock`` will.
-        """
-        return list(self._hop_amounts(hops, amount))
-
-    def _hop_amounts(self, hops: int, amount: float) -> Tuple[float, ...]:
-        cached = self._hop_amounts_cache.get((hops, amount))
-        if cached is not None:
-            return cached
-        amounts = [amount]
-        for _ in range(hops - 1):
-            amounts.insert(0, amounts[0] + self.fee(amounts[0]))
-        if len(self._hop_amounts_cache) >= 4096:
-            self._hop_amounts_cache.clear()
-        result = tuple(amounts)
-        self._hop_amounts_cache[(hops, amount)] = result
-        return result
 
     def _pick_channel(
         self, src: Hashable, dst: Hashable, amount: float

@@ -244,16 +244,12 @@ class Router:
         sender: Hashable,
         receiver: Hashable,
         amount: float,
-        view: Optional[GraphView] = None,
         rng=None,
     ) -> Route:
         """Shortest feasible route for ``amount`` in the reduced subgraph.
 
         Args:
             sender / receiver / amount: the payment intent.
-            view: a pre-built reduced view for ``amount`` (the batched
-                backend injects its masked snapshots here); defaults to
-                ``graph.view(directed=True, reduced=amount)``.
             rng: tie-break RNG override (e.g. a per-payment
                 :class:`PaymentRouteRng`); defaults to the router's
                 sequential stream.
@@ -264,10 +260,7 @@ class Router:
         """
         if sender == receiver:
             raise RoutingError("sender and receiver must differ")
-        reduced = (
-            view if view is not None
-            else self.graph.view(directed=True, reduced=amount)
-        )
+        reduced = self.graph.view(directed=True, reduced=amount)
         if sender not in reduced or receiver not in reduced:
             raise RoutingError(f"unknown endpoint in route {sender!r}->{receiver!r}")
         nodes = self._select_path(reduced, sender, receiver, amount, rng=rng)

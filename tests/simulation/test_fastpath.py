@@ -11,8 +11,9 @@ traces and compare everything.
 import pytest
 
 from repro.errors import ScenarioError, SimulationError
-from repro.network.fees import ConstantFee, LinearFee
+from repro.network.fees import ConstantFee
 from repro.network.graph import ChannelGraph
+from repro.obs import ObsSession
 from repro.scenarios import (
     FeeSpec,
     Scenario,
@@ -154,20 +155,6 @@ class TestMetricsParity:
         )
         assert metric_fields(event) == metric_fields(batched)
 
-    def test_epoch_size_invariance(self):
-        """Epochs are an optimisation window: any size, same results."""
-        scenario = scenario_for(TopologySpec("ba", {"n": 50}), horizon=15.0)
-        graph = build_topology(scenario.topology, seed=7)
-        trace = list(build_workload(scenario, graph).generate(15.0))
-        results = []
-        for epoch_size in (1, 3, 64, 100000):
-            g = build_topology(scenario.topology, seed=7)
-            engine = BatchedSimulationEngine(
-                g, fee=LinearFee(0.01, 0.001), seed=7, epoch_size=epoch_size
-            )
-            results.append(metric_fields(engine.run_trace(trace)))
-        assert all(r == results[0] for r in results[1:])
-
     def test_backend_via_scenario_runner(self):
         base = scenario_for(TopologySpec("ba", {"n": 60}), horizon=10.0)
         event_result = ScenarioRunner().run(base)
@@ -297,11 +284,6 @@ class TestGuards:
         with pytest.raises(ScenarioError, match="event injection"):
             AttackRunner().run(scenario)
 
-    def test_bad_epoch_size(self):
-        graph = ChannelGraph.from_edges([("a", "b")], balance=1.0)
-        with pytest.raises(SimulationError, match="epoch_size"):
-            BatchedSimulationEngine(graph, epoch_size=0)
-
     def test_unsorted_trace_rejected(self):
         graph = ChannelGraph.from_edges([("a", "b")], balance=5.0)
         engine = BatchedSimulationEngine(graph)
@@ -383,11 +365,9 @@ class TestStats:
         scenario = scenario_for(TopologySpec("ba", {"n": 50}), horizon=15.0)
         graph = build_topology(scenario.topology, seed=7)
         trace = list(build_workload(scenario, graph).generate(15.0))
-        engine = BatchedSimulationEngine(graph, seed=7)
-        engine.run_trace(trace)
-        stats = engine.stats
-        assert stats.payments == len(trace)
-        assert stats.tree_builds + stats.tree_hits > 0
-        assert stats.epochs >= 1
-        # Every cache miss is either a first-touch build or a conflict.
-        assert stats.conflicts <= stats.tree_builds
+        obs = ObsSession(enabled=True)
+        engine = BatchedSimulationEngine(graph, seed=7, obs=obs)
+        engine.run_trace(trace[:10])
+        engine.run_trace(trace[10:])
+        counters = obs.registry.snapshot()["counters"]
+        assert counters["fastpath.payments"] == len(trace)
