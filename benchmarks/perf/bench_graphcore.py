@@ -5,7 +5,8 @@ Times the two workloads the view redesign targets, on BA snapshots:
 
 * **pair_weighted_betweenness** — the single hottest loop in the codebase
   (Eq. 2/Eq. 3): legacy dict-of-dict Brandes on an ``nx.DiGraph`` vs the
-  vectorised accumulation on a :class:`~repro.network.views.GraphView`.
+  all-sources numpy sweep on a :class:`~repro.network.views.GraphView`
+  (one code path at every graph size).
 * **greedy_join** — Algorithm 1 end-to-end through
   :class:`~repro.core.utility.JoiningUserModel`, ``backend="networkx"``
   vs ``backend="views"`` (fixed-rate revenue mode, the Thm 4 regime).
@@ -36,8 +37,9 @@ from repro.params import ModelParameters
 from repro.snapshots import barabasi_albert_snapshot
 
 FULL_SIZES = (100, 500, 1000)
-# Smoke straddles SMALL_GRAPH_NODES so both the python fallback (100)
-# and the vectorised CSR branch (200) are regression-guarded in CI.
+# Betweenness has one numpy path at every size. Smoke runs n=100, which
+# has a committed full-run row for gate.py to compare against, and n=200,
+# the size the evolution benchmarks start from.
 SMOKE_SIZES = (100, 200)
 SEED = 7
 

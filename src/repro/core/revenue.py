@@ -12,16 +12,16 @@ i.e. ``f_avg`` times the pair-weighted *intermediary* betweenness of ``u``.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Iterable, Optional
+from typing import Dict, Hashable, Iterable, Optional
 
-from ..network.betweenness import pair_weighted_betweenness
+from ..network.betweenness import PairWeights, pair_weighted_betweenness
 
 __all__ = ["expected_revenue", "revenue_profile"]
 
 
 def revenue_profile(
     digraph,
-    pair_weight: Callable[[Hashable, Hashable], float],
+    pair_weight: PairWeights,
     fee_avg: float,
     sources: Optional[Iterable[Hashable]] = None,
 ) -> Dict[Hashable, float]:
@@ -29,7 +29,9 @@ def revenue_profile(
 
     ``digraph`` may be a :class:`~repro.network.views.GraphView` (the fast
     CSR path) or a legacy ``nx.DiGraph``. ``pair_weight(s, r)`` should
-    already fold in the sender rate, e.g. ``N_s * p_trans(s, r)``.
+    already fold in the sender rate, e.g. ``N_s * p_trans(s, r)``; it may
+    also be given as weight rows, one per source (see
+    :func:`~repro.network.betweenness.betweenness_arrays`).
     """
     result = pair_weighted_betweenness(digraph, pair_weight, sources=sources)
     return {node: fee_avg * value for node, value in result.node.items()}
@@ -38,7 +40,7 @@ def revenue_profile(
 def expected_revenue(
     digraph,
     user: Hashable,
-    pair_weight: Callable[[Hashable, Hashable], float],
+    pair_weight: PairWeights,
     fee_avg: float,
     sources: Optional[Iterable[Hashable]] = None,
 ) -> float:

@@ -23,7 +23,10 @@ import math
 from collections import Counter
 from typing import Dict, Hashable, Mapping, Optional, Union
 
+import numpy as np
+
 from ..errors import InvalidParameter, NodeNotFound
+from ..network.betweenness import pair_weighted_betweenness
 from ..network.graph import ChannelGraph
 from ..params import DEFAULT_PARAMS, ModelParameters
 from ..transactions.distributions import (
@@ -52,7 +55,9 @@ class JoiningUserModel:
             paper's modified Zipf with ``params.zipf_s``.
         own_probs: ``p_trans(new_user, v)`` — the joining user's receiver
             distribution. Defaults to modified-Zipf rank factors over the
-            base graph (or uniform when ``distribution`` is uniform).
+            base graph, with the ``s`` of ``distribution`` when it is a
+            :class:`ModifiedZipf` and ``params.zipf_s`` otherwise (or
+            uniform when ``distribution`` is uniform).
         sender_rates: ``N_v`` per existing node; defaults to splitting
             ``params.total_tx_rate`` equally.
         hop_convention: fee distance convention, see
@@ -135,14 +140,10 @@ class JoiningUserModel:
         self.distribution = distribution
 
         # Freeze pair probabilities among existing nodes (paper's fixed
-        # p_trans assumption for Thm 1-5). Senders the distribution does
-        # not know about simply send nothing.
-        self._pair_probs: Dict[Hashable, Dict[Hashable, float]] = {}
-        for sender in graph.nodes:
-            try:
-                self._pair_probs[sender] = distribution.receivers(sender)
-            except NodeNotFound:
-                self._pair_probs[sender] = {}
+        # p_trans assumption for Thm 1-5) as one matrix in graph node order.
+        nodes = graph.nodes
+        self._index = {node: i for i, node in enumerate(nodes)}
+        self._pair_probs = _probability_matrix(distribution, graph)
 
         # Freeze the joining user's own receiver distribution.
         if own_probs is not None:
@@ -156,7 +157,12 @@ class JoiningUserModel:
             n = len(graph)
             self._own_probs = {v: 1.0 / n for v in graph.nodes}
         else:
-            factors = rank_factors(graph, perspective=None, s=params.zipf_s)
+            s = (
+                distribution.s
+                if isinstance(distribution, ModifiedZipf)
+                else params.zipf_s
+            )
+            factors = rank_factors(graph, perspective=None, s=s)
             total = sum(factors.values())
             self._own_probs = {v: f / total for v, f in factors.items()}
         for receiver in self._own_probs:
@@ -167,6 +173,15 @@ class JoiningUserModel:
             per_node = params.total_tx_rate / len(graph)
             sender_rates = {v: per_node for v in graph.nodes}
         self._sender_rates = dict(sender_rates)
+
+        # Eq. 3 weight rows ``N_s * p_trans(s, r)``, one per sending node,
+        # over the working graph's nodes: the base graph's, then the new
+        # user, whose column stays zero (its own traffic is not revenue).
+        rates = np.array([self._sender_rates.get(v, 0.0) for v in nodes], dtype=float)
+        senders = np.flatnonzero(rates > 0)
+        self._sources = [nodes[i] for i in senders.tolist()]
+        self._revenue_weights = np.zeros((len(senders), len(nodes) + 1))
+        self._revenue_weights[:, :-1] = rates[senders, None] * self._pair_probs[senders]
 
         # Working copy for cheap strategy diffs.
         self._work = graph.copy()
@@ -235,14 +250,6 @@ class JoiningUserModel:
 
     # -- utility components --------------------------------------------------------
 
-    def _pair_weight(self, sender: Hashable, receiver: Hashable) -> float:
-        if sender == self.new_user or receiver == self.new_user:
-            return 0.0
-        rate = self._sender_rates.get(sender, 0.0)
-        if rate <= 0.0:
-            return 0.0
-        return rate * self._pair_probs.get(sender, {}).get(receiver, 0.0)
-
     def _estimate_fixed_rates(self) -> Dict[Hashable, float]:
         """``λ̂(v)``: rate on the directed edge ``u -> v`` when ``u`` is
         connected to every existing node (the fixed-λ estimate)."""
@@ -254,13 +261,8 @@ class JoiningUserModel:
         for peer in self.base_graph.nodes:
             full.add_channel(self.new_user, peer, nominal, nominal)
         digraph = self._routing_view(full)
-        sources = [
-            v for v in self.base_graph.nodes if self._sender_rates.get(v, 0) > 0
-        ]
-        from ..network.betweenness import pair_weighted_betweenness
-
         profile = pair_weighted_betweenness(
-            digraph, self._pair_weight, sources=sources
+            digraph, self._revenue_weights, sources=self._sources
         )
         self._fixed_rates = {
             peer: profile.edge_value(self.new_user, peer)
@@ -276,21 +278,22 @@ class JoiningUserModel:
         self.stats["revenue_evals"] += 1
         if self.revenue_mode == "fixed-rate":
             rates = self._estimate_fixed_rates()
-            peers = set()
+            # Distinct peers in strategy order: a set of str labels would
+            # sum in an order that changes with the interpreter's hash seed.
+            peers: Dict[Hashable, None] = {}
             for action in strategy:
                 if self.routing_amount > 0 and action.locked < self.routing_amount:
                     continue  # channel too thin to route the amount
-                peers.add(action.peer)
+                peers[action.peer] = None
             return self.params.fee_avg * sum(rates.get(p, 0.0) for p in peers)
         self._apply(strategy)
         digraph = self._routing_view(self._work)
-        sources = [v for v in self.base_graph.nodes if self._sender_rates.get(v, 0) > 0]
         return expected_revenue(
             digraph,
             self.new_user,
-            self._pair_weight,
+            self._revenue_weights,
             self.params.fee_avg,
-            sources=sources,
+            sources=self._sources,
         )
 
     def expected_fees(self, strategy: Strategy) -> float:
@@ -368,4 +371,35 @@ class JoiningUserModel:
 
     def pair_probability(self, sender: Hashable, receiver: Hashable) -> float:
         """Frozen ``p_trans(sender, receiver)`` among existing nodes."""
-        return self._pair_probs.get(sender, {}).get(receiver, 0.0)
+        i = self._index.get(sender)
+        j = self._index.get(receiver)
+        if i is None or j is None:
+            return 0.0
+        return float(self._pair_probs[i, j])
+
+
+def _probability_matrix(
+    distribution: TransactionDistribution, graph: ChannelGraph
+) -> np.ndarray:
+    """``p_trans`` among ``graph``'s nodes as ``float64[n, n]`` in node order.
+
+    A :class:`ModifiedZipf` over the same nodes fills it from its ranker's
+    factor arrays; any other distribution row by row from
+    :meth:`~TransactionDistribution.receivers`, where senders it does not
+    know about send nothing.
+    """
+    nodes = graph.nodes
+    if isinstance(distribution, ModifiedZipf) and distribution.graph.nodes == nodes:
+        return distribution.probability_matrix()
+    index = {node: i for i, node in enumerate(nodes)}
+    matrix = np.zeros((len(nodes), len(nodes)), dtype=np.float64)
+    for i, sender in enumerate(nodes):
+        try:
+            row = distribution.receivers(sender)
+        except NodeNotFound:
+            continue
+        for receiver, p in row.items():
+            j = index.get(receiver)
+            if j is not None:
+                matrix[i, j] = p
+    return matrix

@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Hashable
 
+import numpy as np
+
 from ..errors import InvalidParameter, NodeNotFound
 from ..network.betweenness import pair_weighted_betweenness
 from ..network.graph import ChannelGraph
@@ -93,19 +95,16 @@ class NetworkGameModel:
         """
         if node not in graph:
             raise NodeNotFound(node)
-        distribution = ModifiedZipf(graph, s=self.zipf_s)
         digraph = graph.view(directed=True)
-        rows: Dict[Hashable, Dict[Hashable, float]] = {}
-
-        def weight(s: Hashable, r: Hashable) -> float:
-            if s == node or r == node:
-                return 0.0
-            if s not in rows:
-                rows[s] = distribution.receivers(s)
-            return self.b * rows[s].get(r, 0.0)
-
+        index = digraph.index_of(node)
+        # Weight rows b * p_trans(s, r) for every sender s != node; traffic
+        # to node is its own, not transit.
+        weights = self.b * np.delete(
+            ModifiedZipf(graph, s=self.zipf_s).probability_matrix(), index, axis=0
+        )
+        weights[:, index] = 0.0
         sources = [v for v in graph.nodes if v != node]
-        result = pair_weighted_betweenness(digraph, weight, sources=sources)
+        result = pair_weighted_betweenness(digraph, weights, sources=sources)
         return result.node_value(node)
 
     def fees(self, graph: ChannelGraph, node: Hashable) -> float:

@@ -16,30 +16,44 @@ Plain ``networkx`` betweenness weights every pair equally, so we implement:
 
 * :func:`pair_weighted_betweenness` — a generalisation of Brandes'
   accumulation in which the dependency seeded at each target ``r`` is an
-  arbitrary weight ``w(s, r)`` rather than 1. One BFS per source, i.e.
-  ``O(n * m)`` for unweighted graphs — the paper's "efficient O(n^2)
-  estimation" for sparse graphs.
+  arbitrary weight ``w(s, r)`` rather than 1. ``O(n * m)`` for unweighted
+  graphs — the paper's "efficient O(n^2) estimation" for sparse graphs.
 * :func:`pair_weighted_betweenness_exact` — literal enumeration of all
   shortest paths per pair. Exponentially slower; used as the ground-truth
   cross-check in tests and bench E11.
 
-``pair_weighted_betweenness`` accepts either a legacy ``nx.DiGraph`` (the
-original dict-of-dict Brandes pass) or a :class:`~repro.network.views.GraphView`
-CSR snapshot, in which case the whole accumulation — BFS, sigma counting,
-and the backward dependency sweep — runs as vectorised numpy passes over
-the view's arrays (:func:`betweenness_arrays`). The CSR path is the
-hot-loop backend behind Eq. 2/Eq. 3 everywhere in the library.
+On a :class:`~repro.network.views.GraphView` the accumulation is
+:func:`betweenness_arrays`: one level-synchronous numpy pass that runs
+every source's BFS and backward sweep at once, keyed by flat
+``(source row, node)`` integers over the view's CSR arrays. It takes the
+pair weights as ``float64`` rows (one per source, columns in view node
+order), so callers with a frozen ``p_trans`` matrix make no per-pair
+python call; :func:`pair_weighted_betweenness` turns a ``w(s, r)``
+callable into such rows once. A legacy ``nx.DiGraph`` still takes the
+original dict-of-dict Brandes pass.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import deque
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import networkx as nx
 import numpy as np
 
-from .views import SMALL_GRAPH_NODES, GraphView, bfs_shortest_path_tree
+from ..errors import InvalidParameter
+from .views import GraphView
 
 __all__ = [
     "BetweennessArrays",
@@ -51,7 +65,14 @@ __all__ = [
 ]
 
 PairWeight = Callable[[Hashable, Hashable], float]
+#: A ``w(s, r)`` callable, or ``float64[len(sources), n]`` weight rows.
+PairWeights = Union[PairWeight, np.ndarray]
 Edge = Tuple[Hashable, Hashable]
+
+#: Flat ``(source, node)`` keys per block of sources. Bounds the sweep's
+#: working arrays (a few words per key and per shortest-path tree edge)
+#: however many sources one call asks for.
+_BLOCK_KEYS = 1 << 14
 
 
 def uniform_pair_weight(_s: Hashable, _r: Hashable) -> float:
@@ -102,127 +123,175 @@ class BetweennessArrays:
     def to_result(self) -> "BetweennessResult":
         """Translate the arrays into the dict-keyed legacy result shape."""
         nodes = self.view.nodes
-        node = {label: float(v) for label, v in zip(nodes, self.node_values)}
-        rows = self.view.entry_rows()
-        edge: Dict[Edge, float] = {}
-        nonzero = np.nonzero(self.edge_values)[0]
-        for pos in nonzero:
-            edge[(nodes[rows[pos]], nodes[self.view.indices[pos]])] = float(
-                self.edge_values[pos]
+        node = dict(zip(nodes, self.node_values.tolist()))
+        nonzero = np.flatnonzero(self.edge_values)
+        edge: Dict[Edge, float] = {
+            (nodes[src], nodes[dst]): value
+            for src, dst, value in zip(
+                self.view.entry_rows()[nonzero].tolist(),
+                self.view.indices[nonzero].tolist(),
+                self.edge_values[nonzero].tolist(),
             )
+        }
         return BetweennessResult(node, edge)
 
 
-def _betweenness_arrays_small(
+def _sweep_block(
     view: GraphView,
-    pair_weight: PairWeight,
-    source_indices,
-    uniform: bool,
-) -> BetweennessArrays:
-    """Classic per-node Brandes over cached adjacency lists (small graphs)."""
+    sources: np.ndarray,
+    weights: Optional[np.ndarray],
+    node_acc: np.ndarray,
+    edge_acc: np.ndarray,
+) -> None:
+    """Brandes' BFS and backward sweep for a block of sources at once.
+
+    State lives in flat arrays indexed by ``key = row * n + node`` (row =
+    position in ``sources``). The BFS frontier is kept sorted by key, so
+    within each row it is visited in node order and each out-edge in CSR
+    order: every ``sigma`` and ``delta`` key receives its terms in the same
+    order a single-source pass gives it. Edge and node contributions are
+    then folded into the accumulators row by row (``np.add.at`` adds in
+    index order), which is source order.
+    """
     n = view.num_nodes
-    adj = view.adjacency_lists()
-    nodes = view.nodes
-    node_buf = [0.0] * n
-    edge_buf = [0.0] * view.num_entries
-    for s in source_indices:
-        dist = [-1] * n
-        sigma = [0.0] * n
-        preds: List[list] = [[] for _ in range(n)]
-        order = [s]
-        dist[s] = 0
-        sigma[s] = 1.0
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            next_dist = dist[v] + 1
-            sigma_v = sigma[v]
-            for w, entry in adj[v]:
-                if dist[w] < 0:
-                    dist[w] = next_dist
-                    order.append(w)
-                    queue.append(w)
-                if dist[w] == next_dist:
-                    sigma[w] += sigma_v
-                    preds[w].append((v, entry))
-        delta = [0.0] * n
-        s_label = nodes[s]
-        for w in reversed(order):
-            if w == s:
-                continue
-            weight = 1.0 if uniform else pair_weight(s_label, nodes[w])
-            coeff = (weight + delta[w]) / sigma[w]
-            for v, entry in preds[w]:
-                contribution = sigma[v] * coeff
-                if contribution != 0.0:
-                    edge_buf[entry] += contribution
-                    delta[v] += contribution
-        for v in order:
-            if v != s:
-                node_buf[v] += delta[v]
-    return BetweennessArrays(
-        view,
-        np.asarray(node_buf, dtype=np.float64),
-        np.asarray(edge_buf, dtype=np.float64),
-    )
+    indptr, indices = view.indptr, view.indices
+    size = len(sources) * n
+    roots = np.arange(0, size, n, dtype=np.int64) + sources
+    found = np.zeros(size, dtype=bool)
+    sigma = np.zeros(size, dtype=np.float64)
+    found[roots] = True
+    sigma[roots] = 1.0
+    fresh = np.zeros(size, dtype=bool)
+    # Per BFS level: the shortest-path tree edges entering it, as
+    # (CSR entries, source keys, target keys, sigma of the source keys).
+    levels: List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+    frontier = roots
+    while frontier.size:
+        # expand_frontier's expansion, inline: the keys reuse its counts.
+        nodes = frontier % n
+        starts = indptr[nodes]
+        counts = indptr[nodes + 1] - starts
+        ends = np.cumsum(counts)
+        total = int(ends[-1])
+        if total == 0:
+            break
+        entries = np.repeat(starts - (ends - counts), counts) + np.arange(
+            total, dtype=np.int64
+        )
+        keys = np.repeat(frontier, counts)
+        targets = np.repeat(frontier - nodes, counts) + indices[entries]
+        # Every edge into a key no earlier level reached is a tree edge
+        # of this level.
+        tree = ~found[targets]
+        targets = targets[tree]
+        if targets.size == 0:
+            break
+        entries, keys = entries[tree], keys[tree]
+        found[targets] = True
+        pulled = sigma[keys]
+        # bincount adds each target's terms in order, starting from 0.0.
+        sigma += np.bincount(targets, weights=pulled, minlength=size)
+        levels.append((entries, keys, targets, pulled))
+        # The next frontier: this level's keys, deduplicated and sorted.
+        fresh[targets] = True
+        frontier = np.flatnonzero(fresh)
+        fresh[frontier] = False
+
+    flat = None if weights is None else weights.ravel()
+    delta = np.zeros(size, dtype=np.float64)
+    parts: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    for entries, keys, targets, pulled in reversed(levels):
+        seed = 1.0 if flat is None else flat[targets]
+        contrib = pulled * (seed + delta[targets]) / sigma[targets]
+        delta += np.bincount(keys, weights=contrib, minlength=size)
+        parts.append((keys, entries, contrib))
+    if not parts:
+        return
+    keys, entries, contrib = (np.concatenate(column) for column in zip(*parts))
+    # A CSR entry is a tree edge at most once per source, so ordering by
+    # key (hence by row) is all the edge fold needs.
+    order = np.argsort(keys, kind="stable")
+    np.add.at(edge_acc, entries[order], contrib[order])
+    delta[roots] = 0.0
+    hit = np.flatnonzero(delta)
+    np.add.at(node_acc, hit % n, delta[hit])
 
 
 def betweenness_arrays(
     view: GraphView,
-    pair_weight: PairWeight = uniform_pair_weight,
+    weights: Optional[np.ndarray] = None,
     sources: Optional[Iterable[Hashable]] = None,
 ) -> BetweennessArrays:
-    """Brandes' accumulation with per-pair weights over CSR arrays.
+    """Brandes' accumulation with per-pair weight rows over CSR arrays.
 
-    The per-source pass is Brandes' backward sweep as numpy level-at-a-time
-    dependency vectors: for each BFS level (deepest first), the coefficient
-    ``(w(s, t) + delta[t]) / sigma[t]`` is computed for every tree edge at
-    once and scattered into the per-entry and per-node accumulators. Small
-    graphs take an equivalent per-node python pass instead, where the
-    vectorisation overhead would dominate.
+    Args:
+        view: the directed CSR snapshot to accumulate on.
+        weights: ``float64[len(sources), n]``; row ``i`` holds
+            ``w(sources[i], t)`` for every node ``t`` in ``view.nodes``
+            order (the row's own source column and unreachable columns are
+            never read). ``None`` weighs every pair 1.
+        sources: source labels, in accumulation order (defaults to
+            ``view.nodes``). Labels not in the view are skipped together
+            with their weight row.
+
+    Every source runs in one level-synchronous pass, in blocks of
+    ``_BLOCK_KEYS`` flat ``(source, node)`` keys. Each accumulator
+    element is built by the same float operations in the same order as a
+    one-source-at-a-time Brandes pass over the same CSR arrays.
     """
     n = view.num_nodes
-    if sources is None:
-        source_indices = range(n)
-    else:
-        source_indices = [
-            view.node_index[s] for s in sources if s in view.node_index
-        ]
-    uniform = pair_weight is uniform_pair_weight
-    if n < SMALL_GRAPH_NODES:
-        return _betweenness_arrays_small(
-            view, pair_weight, source_indices, uniform
-        )
+    labels: Sequence[Hashable] = view.nodes if sources is None else list(sources)
+    if weights is not None:
+        weights = _checked_rows(weights, len(labels), n)
+    known = [i for i, label in enumerate(labels) if label in view.node_index]
+    source_indices = np.fromiter(
+        (view.node_index[labels[i]] for i in known), dtype=np.int64, count=len(known)
+    )
+    if weights is not None and len(known) != len(labels):
+        weights = weights[known]
     node_acc = np.zeros(n, dtype=np.float64)
     edge_acc = np.zeros(view.num_entries, dtype=np.float64)
-    delta = np.zeros(n, dtype=np.float64)
-    weights = np.ones(n, dtype=np.float64) if uniform else np.zeros(n)
-    for s in source_indices:
-        tree = bfs_shortest_path_tree(view, s)
-        if not tree.levels:
-            continue
-        if not uniform:
-            s_label = view.nodes[s]
-            # Weights are only consumed at reached targets; unreached
-            # entries may stay zero.
-            weights[:] = 0.0
-            for t in np.nonzero(tree.dist >= 0)[0]:
-                if t != s:
-                    weights[t] = pair_weight(s_label, view.nodes[t])
-        delta[:] = 0.0
-        sigma = tree.sigma
-        for entries, srcs, targets in reversed(tree.levels):
-            contrib = (
-                sigma[srcs] * (weights[targets] + delta[targets]) / sigma[targets]
-            )
-            # A CSR entry is a tree edge of exactly one level and appears
-            # once in it, so plain fancy-index += is a safe scatter here;
-            # sources repeat, so delta needs a true scatter-add.
-            edge_acc[entries] += contrib
-            delta += np.bincount(srcs, weights=contrib, minlength=n)
-        delta[s] = 0.0
-        node_acc += delta
+    block = max(1, _BLOCK_KEYS // max(n, 1))
+    for start in range(0, len(source_indices), block):
+        _sweep_block(
+            view,
+            source_indices[start:start + block],
+            None if weights is None else weights[start:start + block],
+            node_acc,
+            edge_acc,
+        )
     return BetweennessArrays(view, node_acc, edge_acc)
+
+
+def _checked_rows(weights: np.ndarray, count: int, n: int) -> np.ndarray:
+    """``weights`` as ``float64``, or an error unless it is ``[count, n]``."""
+    rows = np.asarray(weights, dtype=np.float64)
+    if rows.shape != (count, n):
+        raise InvalidParameter(
+            f"weights must have shape {(count, n)} (sources x nodes), "
+            f"got {rows.shape}"
+        )
+    return rows
+
+
+def _weight_rows(
+    view: GraphView, pair_weight: PairWeight, labels: Sequence[Hashable]
+) -> np.ndarray:
+    """``pair_weight`` evaluated into :func:`betweenness_arrays` rows.
+
+    A source with no out-edge reaches nobody; its row stays zero without
+    a call. Unknown labels get a zero row too (the core skips them).
+    """
+    nodes = view.nodes
+    rows = np.zeros((len(labels), view.num_nodes), dtype=np.float64)
+    for i, s in enumerate(labels):
+        index = view.node_index.get(s)
+        if index is None or view.indptr[index] == view.indptr[index + 1]:
+            continue
+        rows[i] = [
+            0.0 if j == index else pair_weight(s, t) for j, t in enumerate(nodes)
+        ]
+    return rows
 
 
 def _bfs_shortest_paths(
@@ -255,7 +324,7 @@ def _bfs_shortest_paths(
 
 def pair_weighted_betweenness(
     graph: nx.DiGraph,
-    pair_weight: PairWeight = uniform_pair_weight,
+    pair_weight: PairWeights = uniform_pair_weight,
     sources: Optional[Iterable[Hashable]] = None,
 ) -> BetweennessResult:
     """Brandes' algorithm with per-pair dependency weights.
@@ -265,7 +334,9 @@ def pair_weighted_betweenness(
             fast vectorised path) or a legacy directed networkx graph;
             shortest paths are hop counts either way.
         pair_weight: ``w(s, r)`` — the weight each ordered pair contributes
-            (e.g. ``N_s * p_trans(s, r)`` for transaction rates).
+            (e.g. ``N_s * p_trans(s, r)`` for transaction rates) — or the
+            same weights as ``float64[len(sources), n]`` rows in node
+            order (see :func:`betweenness_arrays`).
         sources: restrict the outer loop to these sources (defaults to all
             nodes). Restricting is how callers compute "traffic sent by a
             single node" cheaply.
@@ -274,15 +345,28 @@ def pair_weighted_betweenness(
         :class:`BetweennessResult` with node (intermediary-only) and edge
         accumulations.
     """
+    labels = list(graph.nodes) if sources is None else list(sources)
     if isinstance(graph, GraphView):
-        return betweenness_arrays(graph, pair_weight, sources=sources).to_result()
+        if pair_weight is uniform_pair_weight:
+            weights = None
+        elif callable(pair_weight):
+            weights = _weight_rows(graph, pair_weight, labels)
+        else:
+            weights = pair_weight
+        return betweenness_arrays(graph, weights, sources=labels).to_result()
+    rows = (
+        None if callable(pair_weight)
+        else _checked_rows(pair_weight, len(labels), len(graph))
+    )
     node_acc: Dict[Hashable, float] = {v: 0.0 for v in graph.nodes}
     edge_acc: Dict[Edge, float] = {}
-    if sources is None:
-        sources = list(graph.nodes)
-    for s in sources:
+    for i, s in enumerate(labels):
         if s not in graph:
             continue
+        if rows is None:
+            weight_of = functools.partial(pair_weight, s)
+        else:
+            weight_of = dict(zip(graph.nodes, rows[i].tolist())).__getitem__
         order, preds, sigma, _dist = _bfs_shortest_paths(graph, s)
         # Brandes' accumulation, with the classic "+1" per reached target
         # replaced by "+w(s, target)".
@@ -290,7 +374,7 @@ def pair_weighted_betweenness(
         for w in reversed(order):
             if w == s:
                 continue
-            coeff = (pair_weight(s, w) + delta[w]) / sigma[w]
+            coeff = (weight_of(w) + delta[w]) / sigma[w]
             for v in preds[w]:
                 contribution = sigma[v] * coeff
                 if contribution != 0.0:

@@ -49,7 +49,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
 
 #: Below this many nodes the per-node python passes beat the vectorised
 #: numpy ones (per-level array-call overhead exceeds the actual work);
-#: shared by the betweenness and routing fast-path dispatch.
+#: shared by the routing and batched-simulation (fastpath) dispatch.
 SMALL_GRAPH_NODES = 150
 
 __all__ = [

@@ -65,14 +65,37 @@ class ModifiedZipf(TransactionDistribution):
             self._ranker = DegreeRanker(self.graph, self.s)
         return self._ranker
 
-    def _probabilities(self, sender: Hashable) -> Tuple[np.ndarray, np.ndarray]:
-        """``sender``'s receivers (object array) in rank order and ``p_trans`` of each."""
-        ranker = self._ranking()
+    @staticmethod
+    def _normalised(
+        ranker: DegreeRanker, sender: Hashable
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``sender``'s receiver indices in rank order and ``p_trans`` of each."""
         order, factors = ranker.factors(sender)
         # The builtin sum in rank order, not numpy's pairwise sum: row floats
         # must equal the reference ranking's on every Python version.
         total = sum(factors)
-        return ranker.labels[order], np.array(factors) / total
+        return order, np.array(factors) / total
+
+    def _probabilities(self, sender: Hashable) -> Tuple[np.ndarray, np.ndarray]:
+        """``sender``'s receivers (object array) in rank order and ``p_trans`` of each."""
+        ranker = self._ranking()
+        order, probs = self._normalised(ranker, sender)
+        return ranker.labels[order], probs
+
+    def probability_matrix(self) -> np.ndarray:
+        """Every sender's row as one ``float64[n, n]`` matrix.
+
+        Entry ``[i, j]`` is ``p_trans(nodes[i], nodes[j])`` in the graph's
+        node order, the same float :meth:`probability` returns; the
+        diagonal is zero.
+        """
+        ranker = self._ranking()
+        count = len(ranker.labels)
+        matrix = np.zeros((count, count), dtype=np.float64)
+        for i, sender in enumerate(ranker.labels.tolist()):
+            order, probs = self._normalised(ranker, sender)
+            matrix[i, order] = probs
+        return matrix
 
     def _row(self, sender: Hashable) -> Dict[Hashable, float]:
         """``sender``'s row, shared with the cache (callers must not mutate it)."""

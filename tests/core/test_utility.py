@@ -9,7 +9,13 @@ from repro.core.utility import JoiningUserModel
 from repro.errors import InvalidParameter
 from repro.network.graph import ChannelGraph
 from repro.params import ModelParameters
-from repro.transactions.distributions import UniformDistribution
+from repro.snapshots import barabasi_albert_snapshot
+from repro.transactions.distributions import (
+    EmpiricalDistribution,
+    UniformDistribution,
+)
+from repro.transactions.ranking import rank_factors
+from repro.transactions.zipf import ModifiedZipf
 
 
 @pytest.fixture
@@ -237,3 +243,73 @@ class TestRoutingAmount:
         thick = model.expected_fees(Strategy([Action("b", 5.0)]))
         assert math.isinf(thin)
         assert not math.isinf(thick)
+
+
+class TestFrozenDistribution:
+    """The frozen ``p_trans`` matrix and the Eq. 3 weight rows built from it."""
+
+    @pytest.fixture(scope="class")
+    def ba200(self):
+        return barabasi_albert_snapshot(200, seed=11)
+
+    @pytest.fixture(scope="class")
+    def strategy(self, ba200):
+        nodes = ba200.nodes
+        return Strategy(
+            [Action(nodes[0], 2.0), Action(nodes[17], 1.0), Action(nodes[120], 3.0)]
+        )
+
+    # Values of the per-pair weight-callable implementation, pinned as
+    # float.hex: the weight-row path must reproduce them bit for bit.
+    @pytest.mark.parametrize(
+        "mode, options, expected",
+        [
+            ("betweenness", {}, "0x1.42c751574f6acp+0"),
+            ("betweenness", {"rates": True}, "0x1.46665c1f75fc4p-3"),
+            ("betweenness", {"routing_amount": 1.5}, "0x1.1bd67ef11c767p+0"),
+            ("fixed-rate", {}, "0x1.2aaccb365fb18p+4"),
+            ("fixed-rate", {"rates": True}, "0x1.71e396481cd90p+1"),
+            ("fixed-rate", {"routing_amount": 1.5}, "0x1.832dd69c67884p+4"),
+        ],
+    )
+    def test_expected_revenue_pinned(self, ba200, strategy, mode, options, expected):
+        params = ModelParameters(
+            onchain_cost=0.5, total_tx_rate=2000.0, user_tx_rate=5.0
+        )
+        kwargs = {"revenue_mode": mode}
+        if options.get("rates"):
+            kwargs["sender_rates"] = {
+                v: float(i % 4) for i, v in enumerate(ba200.nodes)
+            }
+        if "routing_amount" in options:
+            kwargs["routing_amount"] = options["routing_amount"]
+        model = JoiningUserModel(ba200, "joiner", params, **kwargs)
+        assert model.expected_revenue(strategy).hex() == expected
+
+    def test_pair_probability_equals_modified_zipf(self, ba200):
+        distribution = ModifiedZipf(ba200, s=1.0)
+        model = JoiningUserModel(ba200, "joiner", ModelParameters(zipf_s=1.0))
+        for sender in ba200.nodes:
+            for receiver in ba200.nodes:
+                assert model.pair_probability(sender, receiver) == (
+                    distribution.probability(sender, receiver)
+                )
+        assert model.pair_probability("joiner", ba200.nodes[0]) == 0.0
+
+    def test_other_distributions_fill_rows_by_label(self, line3_graph):
+        distribution = EmpiricalDistribution({"a": {"b": 1.0, "c": 3.0}})
+        model = JoiningUserModel(
+            line3_graph, "u", ModelParameters(), distribution=distribution
+        )
+        assert model.pair_probability("a", "c") == 0.75
+        assert model.pair_probability("b", "a") == 0.0  # unknown sender
+
+    def test_default_own_probs_use_the_distributions_s(self):
+        graph = barabasi_albert_snapshot(30, seed=4)
+        model = JoiningUserModel(
+            graph, "u", ModelParameters(zipf_s=1.0),
+            distribution=ModifiedZipf(graph, s=2.0),
+        )
+        factors = rank_factors(graph, perspective=None, s=2.0)
+        total = sum(factors.values())
+        assert model.own_probs == {v: f / total for v, f in factors.items()}
